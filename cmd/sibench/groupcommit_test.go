@@ -11,20 +11,17 @@ import (
 
 // TestRunGroupCommitReport pins the batch accounting in the bench
 // artifact: an SI closed-loop run records the group-commit block
-// (batches executed, batch members, solo fall-outs, batch-size
-// quantiles), and -group-commit=false removes both the sequencer and
-// the block — the ledger shape of pre-batching runs.
+// (batches executed, batch members, batch-size quantiles).
 func TestRunGroupCommitReport(t *testing.T) {
 	t.Parallel()
-	readReport := func(t *testing.T, extra ...string) benchReport {
+	readReport := func(t *testing.T) benchReport {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "bench.json")
-		args := append([]string{
+		code, err := run([]string{
 			"-engine", "si", "-workload", "closedloop",
 			"-sessions", "4", "-txs", "25", "-objects", "8",
 			"-bench-json", path,
-		}, extra...)
-		code, err := run(args, new(bytes.Buffer), io.Discard)
+		}, new(bytes.Buffer), io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,27 +44,20 @@ func TestRunGroupCommitReport(t *testing.T) {
 		rep := readReport(t)
 		gc := rep.GroupCommit
 		if gc == nil {
-			t.Fatal("no group_commit block with batching on")
+			t.Fatal("no group_commit block")
 		}
 		if gc.Batches <= 0 || gc.BatchedCommits < gc.Batches {
 			t.Errorf("batch accounting = %+v", gc)
 		}
-		// Only writing commit attempts go through a batch or fall out
-		// solo (read-only commits touch neither counter), so the two
-		// together are bounded by the run's commit attempts.
-		if total := gc.BatchedCommits + gc.SoloCommits; total <= 0 || total > rep.Commits+rep.Conflicts {
-			t.Errorf("batched %d + solo %d outside (0, commits %d + conflicts %d]",
-				gc.BatchedCommits, gc.SoloCommits, rep.Commits, rep.Conflicts)
+		// Every writing commit attempt is a batch member (read-only
+		// commits are not), so members are bounded by the run's commit
+		// attempts.
+		if gc.BatchedCommits > rep.Commits+rep.Conflicts {
+			t.Errorf("batched %d > commits %d + conflicts %d",
+				gc.BatchedCommits, rep.Commits, rep.Conflicts)
 		}
 		if gc.P50BatchSize < 1 {
 			t.Errorf("p50 batch size = %v, want >= 1", gc.P50BatchSize)
-		}
-	})
-	t.Run("off", func(t *testing.T) {
-		t.Parallel()
-		rep := readReport(t, "-group-commit=false")
-		if rep.GroupCommit != nil {
-			t.Errorf("group_commit block present with the sequencer disabled: %+v", rep.GroupCommit)
 		}
 	})
 }

@@ -65,11 +65,7 @@ func runSweep(cfg runConfig, o *cliutil.Obs, rec *eventlog.Recorder, stdout io.W
 		for r := 0; r < cfg.sweepReps; r++ {
 			reg := obs.NewRegistry()
 			o.SetRegistry(reg)
-			db, err := engine.New(cfg.kind, engine.Config{
-				Metrics: reg, Recorder: rec,
-				DisableGroupCommit: !cfg.groupCommit,
-				DisableReadCache:   !cfg.readCache,
-			})
+			db, err := engine.New(cfg.kind, engine.Config{Metrics: reg, Recorder: rec})
 			if err != nil {
 				return 2, ledger.BenchReport{}, err
 			}

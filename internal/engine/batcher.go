@@ -7,30 +7,27 @@ import (
 	"sian/internal/obs/txtrace"
 )
 
-// commitBatcher is the SI group-commit sequencer: concurrently
-// arriving writing commits with pairwise-disjoint write sets are
-// collected into a batch that one leader commits under a single union
-// lock window — one multi-shard critical section, one contiguous WAL
-// record group with one fsync, one commitTS advance — collapsing N
-// publish CAS spin-waits and N fsync negotiations into 1.
+// commitBatcher is the SI group-commit sequencer, the one way a
+// writing commit reaches commitBatch: concurrently arriving commits
+// with pairwise-disjoint write sets are collected into a batch that
+// one leader commits under a single union lock window — one
+// multi-shard critical section, one contiguous WAL record group with
+// one fsync, one commitTS advance — collapsing N publish CAS
+// spin-waits and N fsync negotiations into 1.
 //
 // The shape is classic leader/follower group commit. Every committing
 // goroutine enqueues its request; while a leader is running, arrivals
 // wait on the condition variable. When the leader finishes it hands
 // results to its batch and steps down; the first still-waiting request
 // becomes the next leader and drains the queue again. A request whose
-// write set overlaps the forming batch falls out to the ordinary solo
-// path instead (first-committer-wins between the batch and the
-// fall-out is then arbitrated by the shard locks themselves — the solo
-// commit blocks on the overlapping stripes until the leader's window
-// releases, exactly as two solo commits would). Disjointness within a
-// batch is what keeps the protocol sound: per-member validation order
-// is irrelevant because no member can invalidate another (DESIGN.md
-// §15).
+// write set overlaps the forming batch stays queued for the next
+// leader, which then validates it against the installed versions of
+// the batch it overlapped — first-committer-wins across batches.
+// Disjointness within a batch is what keeps the protocol sound:
+// per-member validation order is irrelevant because no member can
+// invalidate another (DESIGN.md §15).
 //
-// Under no concurrency the sequencer degenerates to batches of one
-// whose leader path is step-for-step the solo path, so sequential
-// behaviour (and sequential traces) are unchanged.
+// Under no concurrency every commit is a batch of one.
 type commitBatcher struct {
 	p *siProtocol
 
@@ -45,25 +42,16 @@ type commitBatcher struct {
 // WAL group bounded under extreme fan-in.
 const maxBatch = 128
 
-// batchState is the lifecycle of one queued commit request.
-type batchState int
-
-const (
-	batchWaiting batchState = iota
-	batchDecided            // a leader committed (or conflicted) the request
-	batchSolo               // overlapped the forming batch; takes the solo path
-)
-
-// batchReq is one queued commit request. The result fields (state,
+// batchReq is one queued commit request. The result fields (decided,
 // size, lsn, err) are written only under the batcher mutex, so
 // followers reading them after waking are race-free.
 type batchReq struct {
-	req   *commitReq
-	snap  uint64
-	state batchState
-	size  int // members in the deciding batch, for trace attribution
-	lsn   uint64
-	err   error
+	req     *commitReq
+	snap    uint64
+	decided bool // a leader committed (or conflicted) the request
+	size    int  // members in the deciding batch, for trace attribution
+	lsn     uint64
+	err     error
 }
 
 func newCommitBatcher(p *siProtocol) *commitBatcher {
@@ -73,31 +61,25 @@ func newCommitBatcher(p *siProtocol) *commitBatcher {
 }
 
 // commit runs one writing commit request through the sequencer and
-// returns the request's durable LSN and commit error, exactly as the
-// solo path would.
+// returns the request's durable LSN and commit error.
 func (b *commitBatcher) commit(t *siTx, req commitReq) (uint64, error) {
 	r := &batchReq{req: &req, snap: t.ticket.snap}
 	b.mu.Lock()
 	b.queue = append(b.queue, r)
-	for r.state == batchWaiting && b.leading {
+	for !r.decided && b.leading {
 		b.cond.Wait()
 	}
-	if r.state != batchWaiting {
-		size, state, lsn, err := r.size, r.state, r.lsn, r.err
+	if r.decided {
+		size, lsn, err := r.size, r.lsn, r.err
 		b.mu.Unlock()
 		// The follower marks its own wait span — traces are single-
 		// goroutine, so the leader cannot mark them on its behalf.
-		if state == batchSolo {
-			req.trace.MarkAttrs(txtrace.StageBatchWait, map[string]int64{"solo": 1})
-			return t.commitSolo(req)
-		}
 		req.trace.MarkAttrs(txtrace.StageBatchWait, map[string]int64{"batch_size": int64(size)})
 		return lsn, err
 	}
 	// No leader running: lead a batch seeded with our own request.
 	b.leading = true
 	batch := b.take(r)
-	b.cond.Broadcast() // release requests spilled to the solo path
 	b.mu.Unlock()
 
 	results := b.p.commitBatch(batch)
@@ -106,7 +88,7 @@ func (b *commitBatcher) commit(t *siTx, req commitReq) (uint64, error) {
 	for i, m := range batch {
 		m.lsn, m.err = results[i].lsn, results[i].err
 		m.size = len(batch)
-		m.state = batchDecided
+		m.decided = true
 	}
 	b.leading = false
 	b.cond.Broadcast()
@@ -117,8 +99,8 @@ func (b *commitBatcher) commit(t *siTx, req commitReq) (uint64, error) {
 
 // take drains the queue into a batch of pairwise-disjoint write sets
 // seeded by the leader's own request, in arrival order. Requests
-// overlapping the growing union are marked solo; requests beyond the
-// size cap stay queued for the next leader. Caller holds b.mu.
+// overlapping the growing union, and requests beyond the size cap,
+// stay queued for the next leader. Caller holds b.mu.
 func (b *commitBatcher) take(seed *batchReq) []*batchReq {
 	batch := []*batchReq{seed}
 	union := make(map[model.Obj]struct{}, len(seed.req.order))
@@ -130,19 +112,8 @@ func (b *commitBatcher) take(seed *batchReq) []*batchReq {
 		if r == seed {
 			continue
 		}
-		if len(batch) >= maxBatch {
+		if len(batch) >= maxBatch || overlaps(union, r.req.order) {
 			rest = append(rest, r)
-			continue
-		}
-		disjoint := true
-		for _, x := range r.req.order {
-			if _, clash := union[x]; clash {
-				disjoint = false
-				break
-			}
-		}
-		if !disjoint {
-			r.state = batchSolo
 			continue
 		}
 		for _, x := range r.req.order {
@@ -156,4 +127,14 @@ func (b *commitBatcher) take(seed *batchReq) []*batchReq {
 	}
 	b.queue = rest
 	return batch
+}
+
+// overlaps reports whether any of objs is in union.
+func overlaps(union map[model.Obj]struct{}, objs []model.Obj) bool {
+	for _, x := range objs {
+		if _, clash := union[x]; clash {
+			return true
+		}
+	}
+	return false
 }

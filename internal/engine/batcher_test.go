@@ -41,9 +41,6 @@ func TestBatcherGroupsConcurrentCommits(t *testing.T) {
 	}
 	defer db.Close()
 	p := db.impl.(*siProtocol)
-	if p.batcher == nil {
-		t.Fatal("group commit should be on by default")
-	}
 
 	const sessions = 8
 	objs := make([]model.Obj, sessions)
@@ -133,12 +130,13 @@ func TestBatcherGroupsConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestBatcherOverlapFallsOutSolo pins the fall-out path: two queued
-// requests writing the same object cannot share a batch, so whichever
-// becomes leader spills the other to the solo path — where the shard
-// locks arbitrate first-committer-wins between batch and fall-out
-// exactly as between two solo commits.
-func TestBatcherOverlapFallsOutSolo(t *testing.T) {
+// TestBatcherOverlapDefersToNextBatch pins the overlap path: two
+// queued requests writing the same object cannot share a batch, so
+// whichever becomes leader leaves the other queued, and the next batch
+// decides it — first-committer-wins against the installed version of
+// the batch it overlapped. Every writing attempt, the conflicting one
+// included, is a batch member.
+func TestBatcherOverlapDefersToNextBatch(t *testing.T) {
 	db, err := New(SI, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -175,24 +173,28 @@ func TestBatcherOverlapFallsOutSolo(t *testing.T) {
 	hold.Unlock()
 	wg.Wait()
 
-	// One of the x-writers led a batch; the other was spilled solo,
-	// lost first-committer-wins to whichever grabbed x's stripe first,
-	// and retried (through the batcher, as a fresh singleton batch).
-	if got := p.cSoloCommits.Value(); got != 1 {
-		t.Errorf("solo fall-outs = %d, want 1 (the overlapping writer's first attempt)", got)
-	}
+	// One of the x-writers led the second batch and committed; the
+	// other stayed queued, lost first-committer-wins in the third
+	// batch (its snapshot predates the second), and its retry
+	// committed as a fourth batch of one.
 	st := db.Stats()
 	if st.Commits != 3 {
 		t.Errorf("commits = %d, want 3", st.Commits)
 	}
 	if st.Conflicts != 1 || st.Retries != 1 {
-		t.Errorf("conflicts/retries = %d/%d, want 1/1 (batch vs fall-out FCW)", st.Conflicts, st.Retries)
+		t.Errorf("conflicts/retries = %d/%d, want 1/1 (FCW across batches)", st.Conflicts, st.Retries)
+	}
+	if got, want := p.cBatchMembers.Value(), st.Commits+st.Conflicts; got != want {
+		t.Errorf("batch members = %d, want %d (every writing attempt)", got, want)
+	}
+	if got := p.cBatches.Value(); got != 4 {
+		t.Errorf("batches = %d, want 4 (lead, winner, loser, retry)", got)
 	}
 	if v, ok := p.store.Latest("a"); !ok || v.Val != 1 {
 		t.Errorf("Latest(a) = (%+v,%v), want 1", v, ok)
 	}
-	// Which value of x lands last depends on who won the stripe race,
-	// but the loser's retry always commits at the final timestamp.
+	// Which value of x lands last depends on who led, but the loser's
+	// retry always commits at the final timestamp.
 	if v, ok := p.store.Latest("x"); !ok || v.TS != 3 {
 		t.Errorf("Latest(x) = (%+v,%v), want the retried commit at ts 3", v, ok)
 	}

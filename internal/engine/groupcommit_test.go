@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"testing"
+	"time"
 
 	"sian/internal/check"
 	"sian/internal/depgraph"
@@ -11,16 +12,36 @@ import (
 	"sian/internal/obs"
 	"sian/internal/obs/eventlog"
 	"sian/internal/obs/txtrace"
+	"sian/internal/storage"
 	"sian/internal/workload"
 )
 
+// pausedDriver is a test-only storage driver whose group-commit window
+// pauses in Unlock, still holding its stripes: the leader stays in its
+// batch long enough for concurrent committers to queue behind it, so
+// the next leader decides several members at once.
+type pausedDriver struct{ storage.Driver }
+
+func (d pausedDriver) LockBatch(objs []model.Obj) storage.BatchLocked {
+	return pausedWindow{d.Driver.LockBatch(objs)}
+}
+
+type pausedWindow struct{ storage.BatchLocked }
+
+func (w pausedWindow) Unlock() {
+	time.Sleep(200 * time.Microsecond)
+	w.BatchLocked.Unlock()
+}
+
 // TestGroupCommitDifferentialCertification is the differential safety
 // gate for the group-commit pipeline: the closed-loop and hot-key
-// workloads run with batching on and off, and both histories must
-// draw identical verdicts from the offline checker (check.Certify)
-// and the online monitor — all four certifying as SI. Run under -race
-// in CI, this pins the batched validate/install/publish path to the
-// same SI definition as the solo path it replaces.
+// workloads run once on the plain in-memory driver (batches mostly of
+// one) and once on a driver whose window pauses so that followers
+// queue (multi-member batches), and both histories must draw the same
+// verdict from the offline checker (check.Certify) and the online
+// monitor — all four certifying as SI. Run under -race in CI, this
+// pins the batched validate/install/publish path to the same SI
+// definition whatever the batch size.
 func TestGroupCommitDifferentialCertification(t *testing.T) {
 	t.Parallel()
 	configs := []struct {
@@ -32,19 +53,20 @@ func TestGroupCommitDifferentialCertification(t *testing.T) {
 	}
 	for _, tc := range configs {
 		tc := tc
-		for _, disable := range []bool{false, true} {
-			disable := disable
+		for _, forced := range []bool{false, true} {
+			forced := forced
 			name := tc.name + "/batching-on"
-			if disable {
-				name = tc.name + "/batching-off"
+			if forced {
+				name = tc.name + "/batching-forced"
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				rec := eventlog.NewRecorder(1 << 17)
-				db, err := engine.New(engine.SI, engine.Config{
-					Recorder:           rec,
-					DisableGroupCommit: disable,
-				})
+				drv := storage.NewMem()
+				if forced {
+					drv = pausedDriver{drv}
+				}
+				db, err := engine.New(engine.SI, engine.Config{Recorder: rec, Driver: drv})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,16 +81,15 @@ func TestGroupCommitDifferentialCertification(t *testing.T) {
 				}
 				db.Flush()
 
-				// Both paths route every writing commit through the same
-				// accounting: batches when the sequencer is on, solo
-				// commits when it is off.
 				lbl := obs.L("engine", engine.SI.String())
 				batches := db.Metrics().Counter("engine_commit_batches_total", lbl).Value()
-				if disable && batches != 0 {
-					t.Errorf("batches executed with batching disabled: %d", batches)
+				members := db.Metrics().Counter("engine_commit_batch_members_total", lbl).Value()
+				t.Logf("%d batch members in %d batches", members, batches)
+				if batches == 0 {
+					t.Error("no batches executed")
 				}
-				if !disable && batches == 0 {
-					t.Error("no batches executed with batching enabled")
+				if forced && members <= batches {
+					t.Errorf("members = %d, batches = %d: the paused window formed no multi-member batch", members, batches)
 				}
 
 				// Offline: the complete recorded history must be SI.
@@ -83,7 +104,7 @@ func TestGroupCommitDifferentialCertification(t *testing.T) {
 				}
 
 				// Online: the monitor over the same event stream must agree,
-				// definitively — the identical verdict the solo path draws.
+				// definitively.
 				if dropped := rec.Dropped(); dropped > 0 {
 					t.Fatalf("recorder dropped %d events; raise the ring capacity", dropped)
 				}

@@ -16,19 +16,22 @@ import (
 // transaction has written any object it also wrote since that
 // snapshot (first-committer-wins).
 //
-// The implementation is built for multicore parallelism — no global
-// mutex anywhere on the transaction path:
+// The implementation is built for multicore parallelism — the only
+// global mutex is the sequencer's, held briefly to queue a writing
+// commit and never across storage work:
 //
 //   - begin is lock-free: one atomic load of the published commit
 //     timestamp plus a slot registration in snapRegistry (see
 //     snapreg.go for the begin/GC handshake);
 //   - reads take only the read-lock of the one store shard holding
 //     the object;
-//   - commit locks only the shards covering its write set, in
-//     canonical shard order (Driver.LockObjs), validates
-//     first-committer-wins per shard and installs under that one
-//     multi-shard critical section, so transactions with disjoint
-//     write sets commit fully in parallel;
+//   - a writing commit goes through the group-commit sequencer
+//     (batcher.go): a lone commit is a batch of one, concurrent
+//     commits with disjoint write sets share one batch. The batch
+//     locks only the shards covering its write sets, in canonical
+//     shard order (Driver.LockBatch), and validates first-committer-
+//     wins per member and installs under that one multi-shard
+//     critical section;
 //   - read-only transactions touch no lock at all: their commit is a
 //     single atomic slot release.
 //
@@ -39,26 +42,26 @@ import (
 // install window between allocation and publication is invisible to
 // snapshots. First-committer-wins stays sound because validation and
 // installation happen while holding every write-set shard: two
-// commits writing a common object serialize on its shard, and the
-// second sees the first's installed version (necessarily newer than
-// its snapshot — a published snapshot can never be at or above an
-// unpublished timestamp) and aborts. See DESIGN.md §10 for the full
-// argument.
+// commits writing a common object land in different batches, which
+// serialize on its shard, and the second sees the first's installed
+// version (necessarily newer than its snapshot — a published snapshot
+// can never be at or above an unpublished timestamp) and aborts. See
+// DESIGN.md §10 and §15 for the full argument.
 //
 // The protocol runs over any storage.Driver. With a durable driver
-// (storage/wal) the commit window also persists the transaction:
-// LogCommit stages the commit record — full op list included, so
-// recovery replay re-certifies the history — inside the window (per-
-// object log order therefore matches timestamp order), Unlock returns
-// only after the record is fsynced (group fsync permitted), and the
-// timestamp is published after Unlock. An acknowledged commit is thus
-// always durable, and — because publication is strictly in timestamp
-// order — so are all its predecessors; see DESIGN.md §12.
+// (storage/wal) the commit window also persists the batch:
+// LogCommitBatch stages the commit records — full op lists included,
+// so recovery replay re-certifies the history — inside the window
+// (per-object log order therefore matches timestamp order), Unlock
+// returns only after the records are fsynced (one fsync per batch),
+// and the timestamps are published after Unlock. An acknowledged
+// commit is thus always durable, and — because publication is
+// strictly in timestamp order — so are all its predecessors; see
+// DESIGN.md §12.
 type siProtocol struct {
 	store storage.Driver
-	// batcher is the group-commit sequencer (batcher.go); nil when
-	// Config.DisableGroupCommit is set, in which case every writing
-	// commit takes the solo path below.
+	// batcher is the group-commit sequencer (batcher.go) every
+	// writing commit goes through.
 	batcher *commitBatcher
 
 	// nextTS is the commit-timestamp allocation sequence.
@@ -73,8 +76,7 @@ type siProtocol struct {
 	// Group-commit observability, resolved once at construction.
 	hBatchSize    *obs.Histogram // members per executed batch
 	cBatches      *obs.Counter   // batches executed
-	cBatchMembers *obs.Counter   // commit requests decided inside a batch
-	cSoloCommits  *obs.Counter   // commit requests through the solo path
+	cBatchMembers *obs.Counter   // writing commit attempts decided
 }
 
 func newSIProtocol(cfg Config, reg *obs.Registry) *siProtocol {
@@ -83,9 +85,7 @@ func newSIProtocol(cfg Config, reg *obs.Registry) *siProtocol {
 		st = storage.NewMem()
 	}
 	p := &siProtocol{store: st}
-	if !cfg.DisableGroupCommit {
-		p.batcher = newCommitBatcher(p)
-	}
+	p.batcher = newCommitBatcher(p)
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -93,7 +93,6 @@ func newSIProtocol(cfg Config, reg *obs.Registry) *siProtocol {
 	p.hBatchSize = reg.Histogram("engine_commit_batch_size", lbl)
 	p.cBatches = reg.Counter("engine_commit_batches_total", lbl)
 	p.cBatchMembers = reg.Counter("engine_commit_batch_members_total", lbl)
-	p.cSoloCommits = reg.Counter("engine_commit_solo_total", lbl)
 	// A driver restored from a log already holds versions; seed the
 	// allocator above them so fresh commits stay monotonic and fresh
 	// snapshots see the recovered state.
@@ -126,11 +125,6 @@ type siTx struct {
 	done   bool
 }
 
-// snapshot implements the engine's snapshotted interface: SI reads
-// are pure functions of the begin snapshot, which is what makes the
-// per-session read cache sound.
-func (t *siTx) snapshot() uint64 { return t.ticket.snap }
-
 func (t *siTx) read(x model.Obj) (model.Value, error) {
 	v, ok := t.p.store.ReadAt(x, t.ticket.snap)
 	if !ok {
@@ -140,7 +134,6 @@ func (t *siTx) read(x model.Obj) (model.Value, error) {
 }
 
 func (t *siTx) commit(req commitReq) (uint64, error) {
-	p := t.p
 	defer t.finish()
 	if len(req.writes) == 0 {
 		// Read-only transactions always commit under SI: no lock, no
@@ -149,90 +142,7 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 		req.trace.Mark(txtrace.StageROCommit)
 		return 0, nil
 	}
-	if p.batcher != nil {
-		return p.batcher.commit(t, req)
-	}
-	return t.commitSolo(req)
-}
-
-// commitSolo is the single-transaction commit path: one lock window,
-// one WAL record and fsync negotiation, one publish CAS. It is the
-// path of record for the DESIGN.md §10/§12 soundness arguments; the
-// group-commit path (commitBatch) preserves them batch-wise, and
-// requests that overlap a forming batch fall back to this path.
-func (t *siTx) commitSolo(req commitReq) (uint64, error) {
-	p := t.p
-	p.cSoloCommits.Inc()
-	snap := t.ticket.snap
-	tr := req.trace
-	lock := p.store.LockObjs(req.order)
-	tr.Mark(txtrace.StageLockWait)
-	// Write-conflict detection: any object we wrote that gained a
-	// committed version after our snapshot aborts us. Holding every
-	// write-set shard makes validate-then-install atomic against any
-	// commit overlapping our write set.
-	for _, x := range req.order {
-		if lock.LatestTS(x) > snap {
-			tr.Mark(txtrace.StageValidate)
-			lock.Unlock()
-			return 0, ErrConflict
-		}
-	}
-	tr.Mark(txtrace.StageValidate)
-	ts := p.nextTS.Add(1)
-	var installErr error
-	for _, x := range req.order {
-		if err := lock.Install(x, storage.Version{Val: req.writes[x], TS: ts}); err != nil {
-			// Unreachable while the write-set shards are held (the
-			// allocation order argument above); surface it rather than
-			// panic per the no-panic guideline — but only after the
-			// timestamp is published, or the pipeline would stall.
-			if installErr == nil {
-				installErr = err
-			}
-		}
-	}
-	tr.Mark(txtrace.StageInstall)
-	// Hand a durable window the commit record while the shards are
-	// still held, so the log's per-object record order matches the
-	// timestamp order installed above.
-	if lg, ok := lock.(storage.CommitLogger); ok {
-		lg.LogCommit(storage.CommitRecord{TS: ts, Session: req.session, TxID: req.txid, Ops: req.ops})
-	}
-	// A durable window marks the wal_append and fsync_wait stages
-	// itself (they happen inside Unlock, below).
-	if tr != nil {
-		if ta, ok := lock.(storage.TraceAttacher); ok {
-			ta.AttachTrace(tr)
-		}
-	}
-	// For a durable driver, Unlock appends the staged record inside
-	// the critical section, releases the shards, and returns only once
-	// the record is fsynced — so the publication below never exposes
-	// an un-synced commit.
-	lock.Unlock()
-	// Publish, strictly in allocation order: timestamp ts becomes
-	// visible to snapshots only when everything at or below it is
-	// installed (and, for durable drivers, synced). The wait is the
-	// short install window of the (at most one) predecessor still
-	// installing.
-	for !p.commitTS.CompareAndSwap(ts-1, ts) {
-		runtime.Gosched()
-	}
-	tr.Mark(txtrace.StagePublish)
-	var lsn uint64
-	if dw, ok := lock.(storage.DurableWindow); ok {
-		durLSN, err := dw.Durable()
-		lsn = durLSN
-		// A sync failure leaves the writes visible in memory but not
-		// durable; surface it (after publishing, so the in-order
-		// pipeline cannot stall) and let the caller treat the commit
-		// as failed.
-		if installErr == nil {
-			installErr = err
-		}
-	}
-	return lsn, installErr
+	return t.p.batcher.commit(t, req)
 }
 
 // batchResult is one member's outcome from commitBatch, indexed like
@@ -242,8 +152,9 @@ type batchResult struct {
 	err error
 }
 
-// commitBatch commits a batch of pairwise-disjoint commit requests
-// under one union lock window: validate every member against its own
+// commitBatch is the SI commit function: every writing commit is
+// decided here, a lone commit as a batch of one. It commits a batch of
+// pairwise-disjoint commit requests under one union lock window: validate every member against its own
 // snapshot, install the winners at contiguous timestamps, stage one
 // contiguous WAL record group (single fsync), and publish the whole
 // range with one commitTS advance. Members that fail first-committer-
@@ -270,8 +181,8 @@ func (p *siProtocol) commitBatch(batch []*batchReq) []batchResult {
 	// First-committer-wins per member: any object a member wrote that
 	// gained a committed version after that member's snapshot aborts
 	// the member (and only it). Holding the whole union makes every
-	// member's validate-then-install atomic against outside commits,
-	// exactly as the solo window does for one transaction.
+	// member's validate-then-install atomic against any commit
+	// overlapping its write set.
 	winners := make([]*batchReq, 0, len(batch))
 	widx := make([]int, 0, len(batch))
 	for i, m := range batch {
@@ -292,7 +203,7 @@ func (p *siProtocol) commitBatch(batch []*batchReq) []batchResult {
 	tr.Mark(txtrace.StageValidate)
 	if len(winners) == 0 {
 		// Every member lost; nothing to install, log or publish. The
-		// leader's trace ends at validate, like a solo conflict.
+		// leader's trace ends at validate.
 		lock.Unlock()
 		p.observeBatch(len(batch))
 		return results
@@ -307,8 +218,10 @@ func (p *siProtocol) commitBatch(batch []*batchReq) []batchResult {
 		ts := base + uint64(k) + 1
 		for _, x := range m.req.order {
 			if err := lock.Install(x, storage.Version{Val: m.req.writes[x], TS: ts}); err != nil {
-				// Unreachable while the union shards are held (see the
-				// solo path); surface it to the member after publish.
+				// Unreachable while the union shards are held (the
+				// allocation order argument of siProtocol); surface it
+				// rather than panic — but only after the range is
+				// published, or the in-order pipeline would stall.
 				if results[widx[k]].err == nil {
 					results[widx[k]].err = err
 				}
@@ -325,7 +238,9 @@ func (p *siProtocol) commitBatch(batch []*batchReq) []batchResult {
 			ta.AttachTrace(tr)
 		}
 	}
-	// Durable drivers append the group and fsync once inside Unlock.
+	// Durable drivers append the group inside the critical section,
+	// release the shards, and return only once it is fsynced — so the
+	// publication below never exposes an un-synced commit.
 	lock.Unlock()
 	// Publish the whole batch with one in-order CAS: the range
 	// (base, base+n] becomes visible atomically once every timestamp
@@ -338,7 +253,9 @@ func (p *siProtocol) commitBatch(batch []*batchReq) []batchResult {
 		"batch_winners": int64(len(winners)),
 	})
 	// One group LSN covers every member: the group's last record is
-	// fsynced, hence so is every record before it.
+	// fsynced, hence so is every record before it. A sync failure
+	// leaves the writes visible in memory but not durable; it reaches
+	// every winner, which treats its commit as failed.
 	var lsn uint64
 	var syncErr error
 	if dw, ok := lock.(storage.DurableWindow); ok {

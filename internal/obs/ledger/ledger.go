@@ -139,23 +139,19 @@ type SweepPoint struct {
 // GroupCommitStats is the batch-size distribution of the SI
 // group-commit sequencer for one run, read from the
 // engine_commit_batch_* series: how many union lock windows (batches)
-// the run's writing commits collapsed into, how the solo fall-out
-// path was used, and the shape of the batch-size histogram.
+// the run's writing commits collapsed into and the shape of the
+// batch-size histogram.
 type GroupCommitStats struct {
 	// Batches is the number of executed batches — each one lock
 	// window, one WAL record group with a single fsync, and one
 	// publish advance, however many members it carried.
 	Batches int64 `json:"batches"`
-	// BatchedCommits is the total number of commit requests decided
-	// inside batches (batch members); BatchedCommits/Batches is the
-	// mean batch size.
-	BatchedCommits int64 `json:"batched_commits"`
-	// SoloCommits counts requests that fell out to the solo path
-	// (write set overlapped a forming batch, or the sequencer was
-	// disabled).
-	SoloCommits  int64   `json:"solo_commits"`
-	P50BatchSize float64 `json:"p50_batch_size"`
-	P99BatchSize float64 `json:"p99_batch_size"`
+	// BatchedCommits is the total number of writing commit attempts
+	// decided (batch members); BatchedCommits/Batches is the mean
+	// batch size.
+	BatchedCommits int64   `json:"batched_commits"`
+	P50BatchSize   float64 `json:"p50_batch_size"`
+	P99BatchSize   float64 `json:"p99_batch_size"`
 }
 
 // CheckerBench is a hand-recorded result of

@@ -56,8 +56,7 @@ const (
 	// StageBatchWait covers waiting in the SI group-commit sequencer:
 	// the time between enqueueing a commit request and a batch leader
 	// deciding it. Attrs carry the batch size the request was decided
-	// in, and solo=1 when the request overlapped the forming batch and
-	// fell out to the solo commit path.
+	// in.
 	StageBatchWait Stage = "batch_wait"
 	// StageLockWait covers acquiring the write-set's shard locks in
 	// ascending shard order (PSI/SSI: the engine-wide mutex).

@@ -12,15 +12,17 @@
 // The interface is exactly the engine-facing surface the SI protocol
 // needs: snapshot reads (ReadAt), latest-timestamp validation
 // (LatestTS), version installation (Install/InstallBatch), the
-// multi-shard first-committer-wins commit window (LockObjs), and
-// watermark compaction (Compact). Version and Write are aliases of the
+// multi-shard first-committer-wins commit window, and watermark
+// compaction (Compact). The engine commits through LockBatch, whose
+// window stages the batch's commit records (LogCommitBatch — ops
+// included, so recovery certification is non-vacuous); LockObjs
+// serves raw installs and tests. Version and Write are aliases of the
 // mem types so a driver wrapping mem shares them without conversion.
 //
 // Durability is layered on through optional interfaces discovered by
 // type assertion, so the in-memory driver pays nothing for them:
-// CommitLogger lets the engine hand a commit window the durable form
-// of the transaction (ops included, so recovery certification is
-// non-vacuous), DurableWindow exposes the fsynced log sequence number
+// CommitLogger lets a LockObjs window take the durable form of one
+// transaction, DurableWindow exposes the fsynced log sequence number
 // after the window closes, and Recovered seeds the engine's timestamp
 // allocator after a restart.
 package storage
@@ -124,7 +126,8 @@ type Cloner interface {
 }
 
 // CommitRecord is the durable form of one engine commit, handed to a
-// commit window via CommitLogger before Unlock. Ops carries the full
+// commit window via BatchLocked.LogCommitBatch (or CommitLogger)
+// before Unlock. Ops carries the full
 // operation list — reads included — so that replaying the log through
 // the online monitor re-certifies the history rather than a write-only
 // skeleton (write-only histories satisfy SI trivially).
@@ -140,8 +143,9 @@ type CommitRecord struct {
 }
 
 // CommitLogger is implemented by the commit windows of durable
-// drivers. The engine calls LogCommit after installing the write set
-// and before Unlock; the window stages the record and appends it
+// drivers. A caller committing one transaction through a LockObjs
+// window calls LogCommit after installing the write set and before
+// Unlock; the window stages the record and appends it
 // inside Unlock's critical section. Windows that never receive a
 // LogCommit log their raw installs instead (engine-external writes).
 type CommitLogger interface {

@@ -253,12 +253,23 @@ func (d *Driver) applyRecord(payload []byte, snapLSN uint64, sawCommit *bool, in
 		if err != nil {
 			return err
 		}
-		tx := model.NewTransaction(rec.TxID, rec.Ops...)
+		// One pass keeps each object's last write (the value the commit
+		// installed); objs lists the written objects in first-write order.
+		final := make(map[model.Obj]model.Value)
+		var objs []model.Obj
+		for _, op := range rec.Ops {
+			if op.Kind != model.OpWrite {
+				continue
+			}
+			if _, seen := final[op.Obj]; !seen {
+				objs = append(objs, op.Obj)
+			}
+			final[op.Obj] = op.Val
+		}
 		installed := false
-		for _, x := range tx.WriteSet() {
+		for _, x := range objs {
 			if d.store.LatestTS(x) < rec.TS {
-				v, _ := tx.FinalWrite(x)
-				if err := d.store.Install(x, storage.Version{Val: v, TS: rec.TS}); err != nil {
+				if err := d.store.Install(x, storage.Version{Val: final[x], TS: rec.TS}); err != nil {
 					return err
 				}
 				installed = true

@@ -3,11 +3,12 @@
 // through the storage.Driver interface.
 //
 // Commits are made durable before they are visible. The SI engine's
-// commit window (storage.Locked) stages the transaction's commit
-// record via LogCommit; Unlock appends the length-prefixed, CRC-framed
-// record while the window's shard locks are still held — so per-object
-// record order in the log matches installed timestamp order — releases
-// the shards, and returns only after the record is fsynced. Syncs are
+// group-commit window (storage.BatchLocked) stages the batch's commit
+// records via LogCommitBatch; Unlock appends the length-prefixed,
+// CRC-framed records while the window's shard locks are still held —
+// so per-object record order in the log matches installed timestamp
+// order — releases the shards, and returns only after the records are
+// fsynced. Syncs are
 // grouped: concurrent windows append under one mutex and one fsync
 // covers every record appended before it, so the fsync cost amortises
 // across overlapping commits. The engine publishes a commit timestamp

@@ -208,6 +208,64 @@ func TestBatchGroupSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestLargeRecordReplay pins replay of one commit record with many
+// writes, some objects written twice: every recovered value must be
+// that object's last write in the record.
+func TestLargeRecordReplay(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	d := mustOpen(t, testOpts(dir))
+	const distinct, twice = 30_000, 10_000
+	objs := make([]model.Obj, distinct)
+	ops := make([]model.Op, 0, distinct+twice)
+	for i := range objs {
+		objs[i] = model.Obj(fmt.Sprintf("o%d", i))
+		ops = append(ops, model.Write(objs[i], model.Value(i)))
+	}
+	// Rewrite every third object, so rewritten objects interleave with
+	// ones written once.
+	last := make(map[model.Obj]model.Value, distinct)
+	for i := 0; i < twice; i++ {
+		x := objs[3*i]
+		ops = append(ops, model.Write(x, model.Value(-i-1)))
+		last[x] = model.Value(-i - 1)
+	}
+	for i, x := range objs {
+		if _, ok := last[x]; !ok {
+			last[x] = model.Value(i)
+		}
+	}
+	w := d.LockBatch(objs)
+	for _, x := range objs {
+		if err := w.Install(x, storage.Version{Val: last[x], TS: 1}); err != nil {
+			t.Fatalf("install: %v", err)
+		}
+	}
+	w.LogCommitBatch([]storage.CommitRecord{{TS: 1, Session: "s1", TxID: "big", Ops: ops}})
+	w.Unlock()
+	if _, err := w.(storage.DurableWindow).Durable(); err != nil {
+		t.Fatalf("durable: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// Replay alone: certifying a 40,000-write transaction takes the
+	// recovery monitor seconds of its own.
+	opts := testOpts(dir)
+	opts.SkipCertify = true
+	re := mustOpen(t, opts)
+	defer re.Close()
+	if info := re.Recovery(); info.Commits != 1 || info.MaxTS != 1 {
+		t.Fatalf("recovery = %+v, want one commit at ts 1", info)
+	}
+	for _, x := range objs {
+		if v, ok := re.Latest(x); !ok || v.Val != last[x] || v.TS != 1 {
+			t.Fatalf("Latest(%s) = %+v, %v; want val %d at ts 1", x, v, ok, last[x])
+		}
+	}
+}
+
 // TestRawInstallsSurviveReopen pins the non-engine append path: plain
 // Install / InstallBatch calls are logged as install records with
 // Writer and Meta preserved.
